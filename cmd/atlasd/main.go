@@ -87,8 +87,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	wireMaxBatch := flag.Int64("wire-max-batch", atlasapi.DefaultMaxBatchBytes, "largest POST /api/v2/stream/records body accepted, in bytes")
 	wireV1 := flag.Bool("wire-v1", true, "keep the deprecated /api/v1/stream/* routes mounted (false answers them with 410 Gone)")
-	serveCache := flag.Bool("serve-cache", true, "serve live GETs from materialized snapshot generations with ETag caching (requires -live)")
-	serveMaxStale := flag.Duration("serve-max-stale", serve.DefaultMaxStaleness, "oldest generation -serve-cache may answer with before refreshing at a barrier")
+	serveMaxStale := flag.Duration("serve-max-stale", serve.DefaultMaxStaleness, "oldest materialized generation a live GET may answer with before refreshing at a barrier (0 = a barrier on every read)")
 	ingestMaxInflight := flag.Int("ingest-max-inflight", atlasapi.DefaultMaxInFlight, "admission control: concurrent ingest requests before shedding 429 (negative disables the gate)")
 	ingestMaxWait := flag.Duration("ingest-max-wait", atlasapi.DefaultMaxWait, "admission control: bounded queue wait for an ingest slot before shedding (negative sheds immediately)")
 	ingestHighWater := flag.Float64("ingest-highwater", atlasapi.DefaultHighWater, "admission control: shard-queue fill fraction above which ingest is shed outright (negative disables)")
@@ -330,10 +329,7 @@ func main() {
 			atlasapi.WithMaxBatchBytes(*wireMaxBatch),
 			atlasapi.WithV1Routes(*wireV1),
 			atlasapi.WithAdmission(adm),
-		}
-		if *serveCache {
-			tier := serve.NewTier(ing, serve.WithMetrics(reg), serve.WithMaxStaleness(*serveMaxStale))
-			lsOpts = append(lsOpts, atlasapi.WithServeTier(tier))
+			atlasapi.WithServeTier(serve.NewTier(ing, serve.WithMetrics(reg), serve.WithMaxStaleness(*serveMaxStale))),
 		}
 		if *nodeID != "" {
 			lsOpts = append(lsOpts, atlasapi.WithClusterNode(*nodeID))
@@ -348,8 +344,8 @@ func main() {
 			fmt.Printf("atlasd: cluster peer %s owns partitions %v of %d\n",
 				*nodeID, ing.OwnedPartitions(), ing.TotalPartitions())
 		}
-		fmt.Printf("atlasd: live ingest on %s (%d shards, analysis=%v, v1 routes=%v, serve cache=%v max-stale=%v, max-inflight=%d)\n",
-			*addr, ing.Shards(), *analysis, *wireV1, *serveCache, *serveMaxStale, *ingestMaxInflight)
+		fmt.Printf("atlasd: live ingest on %s (%d shards, analysis=%v, v1 routes=%v, serve max-stale=%v, max-inflight=%d)\n",
+			*addr, ing.Shards(), *analysis, *wireV1, *serveMaxStale, *ingestMaxInflight)
 	}
 	health.SetReady(true)
 

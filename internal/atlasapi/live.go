@@ -40,11 +40,15 @@ import (
 // Every live GET carries an ETag keyed on (checkpoint generation,
 // applied sequence) and honours If-None-Match with 304; Cache-Control
 // is no-cache, so intermediaries revalidate rather than serve blind.
-// With WithServeTier the snapshot-derived endpoints are served from the
-// tier's pinned generations — byte-identical to the authoritative fold
-// (both render through internal/serve) with bounded staleness. Cursors
-// always take an authoritative barrier: a stale cursor would make a
-// resuming producer re-send applied records.
+// Summary, continents, AS detail and analysis are served from a
+// serve.Tier's pinned generations, byte-identical to the authoritative
+// fold. WithServeTier supplies the tier (and with it the staleness
+// bound); without it the server builds a staleness-0 tier over the
+// ingester, so every read reflects every record acked before it. The
+// cluster coordinator mounts these four handlers over a tier whose
+// Source is its peer merge. Cursors always take an authoritative
+// barrier: a stale cursor would make a resuming producer re-send
+// applied records.
 //
 // Errors are answered in a JSON envelope {"error": ..., "status": ...}.
 // 4xx/503 bodies describe the client or capacity condition; 500 bodies
@@ -74,11 +78,16 @@ type LiveServer struct {
 }
 
 // NewLiveServer wraps an ingester. The caller owns the ingester's
-// lifecycle; closing it makes ingest endpoints return 503.
+// lifecycle; closing it makes ingest endpoints return 503. ing may be
+// nil on a read-only server that passes WithServeTier and mounts only
+// the summary, continents, analysis and AS routes.
 func NewLiveServer(ing *stream.Ingester, opts ...LiveOption) *LiveServer {
 	s := &LiveServer{ing: ing, mux: http.NewServeMux(), maxBatch: DefaultMaxBatchBytes, v1: true, logf: log.Printf}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.tier == nil {
+		s.tier = serve.NewTier(ing, serve.WithMaxStaleness(0))
 	}
 	s.mux.HandleFunc(RouteStreamRecords, s.postRecords)
 	s.mux.HandleFunc("/api/v1/stream/probes", s.postProbes)
@@ -116,14 +125,19 @@ type errorEnvelope struct {
 	Accepted int    `json:"accepted,omitempty"`
 }
 
-// apiError writes the envelope. msg must describe only the client's
-// request or the service's capacity, never internal state — 500 paths
-// go through internalError instead.
-func apiError(w http.ResponseWriter, code int, msg string) {
+// WriteError answers the JSON error envelope, shared by single nodes
+// and the cluster coordinator so a client cannot tell their refusals
+// apart. accepted is the consumed batch prefix of a failed ingest (0
+// omits it). msg must describe only the client's request or the
+// service's capacity, never internal state — 500 paths go through
+// internalError instead.
+func WriteError(w http.ResponseWriter, code int, msg string, accepted int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: msg, Status: code}) //nolint:errcheck // headers are gone; nothing to do
+	json.NewEncoder(w).Encode(errorEnvelope{Error: msg, Status: code, Accepted: accepted}) //nolint:errcheck // headers are gone; nothing to do
 }
+
+func apiError(w http.ResponseWriter, code int, msg string) { WriteError(w, code, msg, 0) }
 
 // internalError answers a generic 500 and logs the real error
 // server-side: internal error text (paths, addresses, shard state) is
@@ -165,9 +179,7 @@ func (s *LiveServer) ingestError(w http.ResponseWriter, err error, consumed int)
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterHeader(s.retryAfter()))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: err.Error(), Status: code, Accepted: consumed}) //nolint:errcheck // headers are gone; nothing to do
+	WriteError(w, code, err.Error(), consumed)
 }
 
 // respondAccepted reports how many records an ingest call took. The
@@ -267,80 +279,54 @@ func (s *LiveServer) writeJSON(w http.ResponseWriter, r *http.Request, route, et
 	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
-// generation pins the serving tier's current read view, refreshing if
-// the staleness window lapsed. Callers must only use it when s.tier is
-// non-nil.
+// generation pins the serving tier's read view for a route of the given
+// kind, refreshing that half if its staleness window lapsed.
 //
 // Pressure valve: while ingest is overloaded (admission is shedding or
 // the shard queues are over the high-watermark), a lapsed staleness
-// window would make every read race ingest for a snapshot barrier —
-// exactly when barriers are slowest. Reads keep serving the last
-// published generation instead; freshness resumes when ingest cools.
-func (s *LiveServer) generation(w http.ResponseWriter, r *http.Request) *serve.Generation {
+// window would make every read race ingest for a barrier — exactly when
+// barriers are slowest. Reads keep serving the last published
+// generation instead; freshness resumes when ingest cools.
+func (s *LiveServer) generation(w http.ResponseWriter, r *http.Request, kind serve.Kind) *serve.Generation {
 	if s.adm != nil && s.adm.Hot() {
-		if gen := s.tier.Current(); gen != nil {
+		if gen := s.tier.Current(); gen.Has(kind) {
 			return gen
 		}
 	}
-	gen, err := s.tier.Generation(r.Context())
+	gen, err := s.tier.Generation(r.Context(), kind)
 	if err != nil {
-		s.ingestError(w, err, 0)
+		s.readError(w, err)
 		return nil
 	}
 	return gen
 }
 
-// snapshot takes a point-in-time view bound to the request: if the
-// client disconnects while the snapshot marker is queued behind
-// backpressure, the handler returns 503 instead of blocking a server
-// goroutine indefinitely.
-func (s *LiveServer) snapshot(w http.ResponseWriter, r *http.Request) *stream.Snapshot {
-	snap, err := s.ing.SnapshotContext(r.Context())
-	if err != nil {
-		s.ingestError(w, err, 0)
-		return nil
+// readError answers a read whose barrier failed. 404 distinguishes
+// "this source runs without the analysis engine"; anything else — a
+// barrier abandoned by its client, a cluster short of complete
+// partition coverage — is a capacity condition, never the request's
+// fault: 503 with a Retry-After pacing hint.
+func (s *LiveServer) readError(w http.ResponseWriter, err error) {
+	if errors.Is(err, stream.ErrAnalysisDisabled) {
+		apiError(w, http.StatusNotFound, stream.ErrAnalysisDisabled.Error())
+		return
 	}
-	return snap
+	w.Header().Set("Retry-After", retryAfterHeader(s.retryAfter()))
+	apiError(w, http.StatusServiceUnavailable, err.Error())
 }
 
 func (s *LiveServer) summary(w http.ResponseWriter, r *http.Request) {
-	if s.tier != nil {
-		if gen := s.generation(w, r); gen != nil {
-			s.writeJSON(w, r, "summary", gen.ETag(), gen.SummaryJSON())
-		}
-		return
+	if gen := s.generation(w, r, serve.SnapshotKind); gen != nil {
+		s.writeJSON(w, r, "summary", gen.ETag(), gen.SummaryJSON())
 	}
-	snap := s.snapshot(w, r)
-	if snap == nil {
-		return
-	}
-	body, err := serve.RenderSummary(snap)
-	if err != nil {
-		s.internalError(w, r, err)
-		return
-	}
-	s.writeJSON(w, r, "summary", serve.ETag(snap.Version), body)
 }
 
 // continents serves the per-continent aggregates — the paper's Figure 1
 // grouping as a continuously updated product.
 func (s *LiveServer) continents(w http.ResponseWriter, r *http.Request) {
-	if s.tier != nil {
-		if gen := s.generation(w, r); gen != nil {
-			s.writeJSON(w, r, "continents", gen.ETag(), gen.ContinentsJSON())
-		}
-		return
+	if gen := s.generation(w, r, serve.SnapshotKind); gen != nil {
+		s.writeJSON(w, r, "continents", gen.ETag(), gen.ContinentsJSON())
 	}
-	snap := s.snapshot(w, r)
-	if snap == nil {
-		return
-	}
-	body, err := serve.RenderContinents(snap)
-	if err != nil {
-		s.internalError(w, r, err)
-		return
-	}
-	s.writeJSON(w, r, "continents", serve.ETag(snap.Version), body)
 }
 
 // cursor answers a producer's resume query after a restart: how many
@@ -370,39 +356,12 @@ func (s *LiveServer) cursor(w http.ResponseWriter, r *http.Request) {
 }
 
 // analysis serves the full paper-answer fold — periodic renumbering,
-// outage attribution, prefix dynamics, churn — from the pinned
-// generation when the tier is on, else computed at a barrier bound to
-// the request. 404 distinguishes "this ingester runs without the
-// analysis engine" from the transient 503s backpressure produces.
+// outage attribution, prefix dynamics, churn — from the tier's analysis
+// half.
 func (s *LiveServer) analysis(w http.ResponseWriter, r *http.Request) {
-	if s.tier != nil {
-		gen := s.generation(w, r)
-		if gen == nil {
-			return
-		}
-		body := gen.AnalysisJSON()
-		if body == nil {
-			apiError(w, http.StatusNotFound, stream.ErrAnalysisDisabled.Error())
-			return
-		}
-		s.writeJSON(w, r, "analysis", gen.AnalysisETag(), body)
-		return
+	if gen := s.generation(w, r, serve.AnalysisKind); gen != nil {
+		s.writeJSON(w, r, "analysis", gen.AnalysisETag(), gen.AnalysisJSON())
 	}
-	res, ver, err := s.ing.AnalysisVersioned(r.Context())
-	if err != nil {
-		if errors.Is(err, stream.ErrAnalysisDisabled) {
-			apiError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		s.ingestError(w, err, 0)
-		return
-	}
-	body, err := serve.RenderAnalysis(res)
-	if err != nil {
-		s.internalError(w, r, err)
-		return
-	}
-	s.writeJSON(w, r, "analysis", serve.ETag(ver), body)
 }
 
 // deadletter reports the quarantine state: process-lifetime counts by
@@ -428,36 +387,18 @@ func (s *LiveServer) asDetail(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, fmt.Sprintf("bad asn %q", rest))
 		return
 	}
-	if s.tier != nil {
-		gen := s.generation(w, r)
-		if gen == nil {
-			return
-		}
-		body, ok, err := gen.ASJSON(uint32(asn))
-		if err != nil {
-			s.internalError(w, r, err)
-			return
-		}
-		if !ok {
-			apiError(w, http.StatusNotFound, fmt.Sprintf("no analyzable probes in AS%d", asn))
-			return
-		}
-		s.writeJSON(w, r, "as", gen.ETag(), body)
+	gen := s.generation(w, r, serve.SnapshotKind)
+	if gen == nil {
 		return
 	}
-	snap := s.snapshot(w, r)
-	if snap == nil {
-		return
-	}
-	agg := snap.AS(uint32(asn))
-	if agg == nil {
-		apiError(w, http.StatusNotFound, fmt.Sprintf("no analyzable probes in AS%d", asn))
-		return
-	}
-	body, err := serve.RenderASDetail(agg)
+	body, ok, err := gen.ASJSON(uint32(asn))
 	if err != nil {
 		s.internalError(w, r, err)
 		return
 	}
-	s.writeJSON(w, r, "as", serve.ETag(snap.Version), body)
+	if !ok {
+		apiError(w, http.StatusNotFound, fmt.Sprintf("no analyzable probes in AS%d", asn))
+		return
+	}
+	s.writeJSON(w, r, "as", gen.ETag(), body)
 }

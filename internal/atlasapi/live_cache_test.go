@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -143,6 +144,73 @@ func TestConditionalGETMatrix(t *testing.T) {
 				t.Error("sequence 0 after ingest")
 			}
 		})
+	}
+}
+
+// TestDefaultTierFreshAfterEveryBatch: a LiveServer built without
+// WithServeTier reads through a staleness-0 tier, so the first read
+// after every accepted batch answers 200 with a new ETag even when it
+// revalidates with the previous one.
+func TestDefaultTierFreshAfterEveryBatch(t *testing.T) {
+	ing := stream.NewIngester(stream.Config{Shards: 2, Pfx2AS: liveStore(t), Analysis: true})
+	defer ing.Close()
+	ls := NewLiveServer(ing)
+	etags := map[string]string{}
+	for i := 0; i < 5; i++ {
+		batch := fmt.Sprintf("{\"kind\":\"meta\",\"probe\":%d,\"country\":\"DE\",\"version\":3}\n", 300+i)
+		req := httptest.NewRequest(http.MethodPost, RouteStreamRecords, strings.NewReader(batch))
+		req.Header.Set("Content-Type", ContentTypeNDJSON)
+		rec := httptest.NewRecorder()
+		ls.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"accepted": 1`) {
+			t.Fatalf("batch %d: %d %s", i, rec.Code, rec.Body)
+		}
+		for _, path := range []string{"/api/v1/live/summary", "/api/v1/live/continents", "/api/v1/live/analysis"} {
+			rec := getWithETag(t, ls, path, etags[path])
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s after batch %d, revalidating %s: %d, want 200", path, i, etags[path], rec.Code)
+			}
+			e := rec.Header().Get("ETag")
+			if e == etags[path] {
+				t.Fatalf("%s after batch %d: ETag %s did not change", path, i, e)
+			}
+			etags[path] = e
+		}
+	}
+}
+
+// TestConcurrentReadersCoalesce: at staleness 0 concurrent readers
+// share barriers — a reader queued behind a refresh that began after it
+// arrived takes that refresh's generation — so the tier refreshes fewer
+// times than it serves reads.
+func TestConcurrentReadersCoalesce(t *testing.T) {
+	reg := obs.NewRegistry()
+	ing := stream.NewIngester(stream.Config{Shards: 2, Pfx2AS: liveStore(t), Analysis: true})
+	defer ing.Close()
+	ls := NewLiveServer(ing, WithServeTier(serve.NewTier(ing, serve.WithMaxStaleness(0), serve.WithMetrics(reg))))
+	const readers, reads = 32, 20
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < reads; i++ {
+				rec := httptest.NewRecorder()
+				ls.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/live/summary", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("summary: %d %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	refreshes, _ := gatherValue(t, reg, "serve_refreshes_total")
+	if refreshes < 1 || refreshes >= readers*reads {
+		t.Errorf("serve_refreshes_total = %v for %d reads, want at least 1 and fewer than the reads", refreshes, readers*reads)
 	}
 }
 

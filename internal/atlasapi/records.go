@@ -82,10 +82,10 @@ func WithV1Routes(on bool) LiveOption {
 	return func(s *LiveServer) { s.v1 = on }
 }
 
-// WithServeTier serves the snapshot-derived live GETs (summary,
-// continents, AS detail, analysis) from the tier's pinned generations
-// instead of taking an authoritative barrier per request. The tier must
-// wrap the same ingester.
+// WithServeTier serves the live GETs (summary, continents, AS detail,
+// analysis) from t instead of the default staleness-0 tier over the
+// ingester. The tier's source must be the same ingester — or, on a
+// read-only server, the source those routes answer for.
 func WithServeTier(t *serve.Tier) LiveOption {
 	return func(s *LiveServer) { s.tier = t }
 }

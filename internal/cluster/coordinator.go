@@ -20,6 +20,7 @@ import (
 	"dynaddr/internal/atlasapi"
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/backoff"
+	"dynaddr/internal/liveanalysis"
 	"dynaddr/internal/serve"
 	"dynaddr/internal/stream"
 	"dynaddr/internal/wire"
@@ -71,6 +72,11 @@ type Config struct {
 //	GET  /api/v1/cluster/status   one row per peer (ownership, version, state)
 //	POST /api/v1/cluster/members  rebalance to a new peer set
 //
+// The four merged routes are the single-node LiveServer handlers over a
+// serve.Tier whose Source is the Coordinator itself (SnapshotContext,
+// AnalysisVersioned), at staleness 0: each read takes one fan-out of
+// the kind its route needs, so it is as fresh as a single node's
+// barrier, and the ETags, 304s and bytes are the single node's too.
 // Queries shed with 503 + Retry-After whenever a complete, exactly-
 // once-covered merge is impossible — a peer unreachable, partition
 // coverage inconsistent, or a rebalance in flight. A partial merge is
@@ -131,11 +137,17 @@ func New(cfg Config) (*Coordinator, error) {
 		c.peers[p.ID] = &peerConn{peer: p}
 	}
 	c.order = ring.Nodes()
+	// No ingest route of this LiveServer is mounted, so it needs no
+	// ingester; its admission controller never sheds and only carries
+	// the coordinator's Retry-After hint into the read sheds.
+	reads := atlasapi.NewLiveServer(nil,
+		atlasapi.WithServeTier(serve.NewTier(c, serve.WithMaxStaleness(0))),
+		atlasapi.WithAdmission(atlasapi.NewAdmission(atlasapi.AdmissionConfig{RetryAfter: c.retryAfter()}, nil, nil)),
+		atlasapi.WithErrorLog(c.logf))
+	for _, route := range []string{"/api/v1/live/summary", "/api/v1/live/continents", "/api/v1/live/analysis", "/api/v1/live/as/"} {
+		c.mux.Handle(route, reads)
+	}
 	c.mux.HandleFunc(atlasapi.RouteStreamRecords, c.postRecords)
-	c.mux.HandleFunc("/api/v1/live/summary", c.summary)
-	c.mux.HandleFunc("/api/v1/live/continents", c.continents)
-	c.mux.HandleFunc("/api/v1/live/analysis", c.analysis)
-	c.mux.HandleFunc("/api/v1/live/as/", c.asDetail)
 	c.mux.HandleFunc("/api/v1/live/cursor", c.cursor)
 	c.mux.HandleFunc("/api/v1/cluster/status", c.status)
 	c.mux.HandleFunc("/api/v1/cluster/members", c.members)
@@ -159,20 +171,6 @@ func (c *Coordinator) maxBatch() int64 {
 	return atlasapi.DefaultMaxBatchBytes
 }
 
-// envelope mirrors the peer API's JSON error shape, so a client cannot
-// tell a coordinator's refusal from a single node's.
-type envelope struct {
-	Error    string `json:"error"`
-	Status   int    `json:"status"`
-	Accepted int    `json:"accepted,omitempty"`
-}
-
-func apiError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(envelope{Error: msg, Status: code}) //nolint:errcheck // headers are gone
-}
-
 // shed answers 503 + Retry-After: the cluster cannot produce a complete
 // answer right now, come back.
 func (c *Coordinator) shed(w http.ResponseWriter, msg string, accepted int) {
@@ -181,9 +179,7 @@ func (c *Coordinator) shed(w http.ResponseWriter, msg string, accepted int) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(envelope{Error: msg, Status: http.StatusServiceUnavailable, Accepted: accepted}) //nolint:errcheck // headers are gone
+	atlasapi.WriteError(w, http.StatusServiceUnavailable, msg, accepted)
 }
 
 // snapshotPeers captures the current membership for one operation.
@@ -215,17 +211,17 @@ func (c *Coordinator) snapshotPeers() ([]*peerConn, []string, error) {
 // did land earlier is rejected by per-probe time order on its owner.
 func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		apiError(w, http.StatusMethodNotAllowed, "POST records")
+		atlasapi.WriteError(w, http.StatusMethodNotAllowed, "POST records", 0)
 		return
 	}
 	ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil {
-		apiError(w, http.StatusUnsupportedMediaType, "bad Content-Type: "+err.Error())
+		atlasapi.WriteError(w, http.StatusUnsupportedMediaType, "bad Content-Type: "+err.Error(), 0)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.maxBatch()))
 	if err != nil {
-		apiError(w, http.StatusRequestEntityTooLarge, err.Error())
+		atlasapi.WriteError(w, http.StatusRequestEntityTooLarge, err.Error(), 0)
 		return
 	}
 	peers, assign, err := c.snapshotPeers()
@@ -247,12 +243,12 @@ func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 	case atlasapi.ContentTypeNDJSON, "application/json":
 		split, owners, order, err = splitNDJSON(body, assign)
 	default:
-		apiError(w, http.StatusUnsupportedMediaType,
-			fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, atlasapi.ContentTypeBinary, atlasapi.ContentTypeNDJSON))
+		atlasapi.WriteError(w, http.StatusUnsupportedMediaType,
+			fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, atlasapi.ContentTypeBinary, atlasapi.ContentTypeNDJSON), 0)
 		return
 	}
 	if err != nil {
-		apiError(w, http.StatusBadRequest, err.Error())
+		atlasapi.WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 
@@ -471,7 +467,9 @@ func (c *Coordinator) forward(ctx context.Context, pc *peerConn, ct string, body
 			return acc.Accepted, acc.Quarantined, nil
 		}
 		// Partial accept: the peer consumed a prefix before failing.
-		var env envelope
+		var env struct {
+			Accepted int `json:"accepted"`
+		}
 		if json.Unmarshal(rb, &env) == nil && env.Accepted > 0 {
 			if env.Accepted > records {
 				env.Accepted = records
@@ -497,22 +495,55 @@ func (c *Coordinator) jitterWord() uint64 { return c.jitter.Uint64() }
 
 // ---- scatter-gather reads ----
 
-// fanoutViews fetches every peer's mergeable snapshot view and
-// validates exact partition coverage: each partition owned by exactly
-// one responding peer, every peer agreeing on the partition count.
-func (c *Coordinator) fanoutViews(ctx context.Context) ([]*stream.PeerView, error) {
+// SnapshotContext is the cluster-wide snapshot, making the Coordinator
+// the serve.Source of its live routes: one /cluster/view fan-out,
+// coverage-checked, folded by stream.MergePeerViews.
+func (c *Coordinator) SnapshotContext(ctx context.Context) (*stream.Snapshot, error) {
+	views, err := fanout(ctx, c, atlasapi.RouteClusterView, func(v *stream.PeerView) (int, []int) {
+		return v.TotalPartitions, v.Partitions
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster snapshot unavailable: %w", err)
+	}
+	return stream.MergePeerViews(views, c.cfg.TotalPartitions), nil
+}
+
+// AnalysisVersioned is the cluster-wide analysis fold: one
+// /cluster/analysis-view fan-out, coverage-checked, folded by
+// stream.MergeAnalysisPeerViews. A peer answering 404 runs without the
+// analysis engine, reported as stream.ErrAnalysisDisabled.
+func (c *Coordinator) AnalysisVersioned(ctx context.Context) (*liveanalysis.Result, stream.Version, error) {
+	views, err := fanout(ctx, c, atlasapi.RouteClusterAnalysisView, func(v *stream.AnalysisPeerView) (int, []int) {
+		return v.TotalPartitions, v.Partitions
+	})
+	if err != nil {
+		var ps *errPeerStatus
+		if errors.As(err, &ps) && ps.code == http.StatusNotFound {
+			return nil, stream.Version{}, stream.ErrAnalysisDisabled
+		}
+		return nil, stream.Version{}, fmt.Errorf("cluster analysis unavailable: %w", err)
+	}
+	res, ver := stream.MergeAnalysisPeerViews(views)
+	return res, ver, nil
+}
+
+// fanout fetches every peer's view at path and validates exact
+// partition coverage: every peer agreeing on the partition count, each
+// partition owned by exactly one responding peer. cover reads a view's
+// partition count and owned partitions.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, cover func(*T) (int, []int)) ([]*T, error) {
 	peers, _, err := c.snapshotPeers()
 	if err != nil {
 		return nil, err
 	}
-	views := make([]*stream.PeerView, len(peers))
+	views := make([]*T, len(peers))
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, pc := range peers {
 		wg.Add(1)
 		go func(i int, pc *peerConn) {
 			defer wg.Done()
-			views[i], errs[i] = fetchJSON[stream.PeerView](ctx, c, pc, atlasapi.RouteClusterView)
+			views[i], errs[i] = fetchJSON[T](ctx, c, pc, path)
 		}(i, pc)
 	}
 	wg.Wait()
@@ -524,58 +555,16 @@ func (c *Coordinator) fanoutViews(ctx context.Context) ([]*stream.PeerView, erro
 	covered := make([]string, c.cfg.TotalPartitions)
 	for i, v := range views {
 		id := peers[i].peer.ID
-		if v.TotalPartitions != c.cfg.TotalPartitions {
-			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, v.TotalPartitions, c.cfg.TotalPartitions)
+		total, parts := cover(v)
+		if total != c.cfg.TotalPartitions {
+			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, total, c.cfg.TotalPartitions)
 		}
-		for _, p := range v.Partitions {
+		for _, p := range parts {
 			if p < 0 || p >= len(covered) {
 				return nil, fmt.Errorf("peer %s claims partition %d outside [0, %d)", id, p, len(covered))
 			}
 			if covered[p] != "" {
 				return nil, fmt.Errorf("partition %d claimed by both %s and %s", p, covered[p], id)
-			}
-			covered[p] = id
-		}
-	}
-	for p, id := range covered {
-		if id == "" {
-			return nil, fmt.Errorf("partition %d unowned", p)
-		}
-	}
-	return views, nil
-}
-
-// fanoutAnalysis is fanoutViews for the analysis contribution.
-func (c *Coordinator) fanoutAnalysis(ctx context.Context) ([]*stream.AnalysisPeerView, error) {
-	peers, _, err := c.snapshotPeers()
-	if err != nil {
-		return nil, err
-	}
-	views := make([]*stream.AnalysisPeerView, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, pc := range peers {
-		wg.Add(1)
-		go func(i int, pc *peerConn) {
-			defer wg.Done()
-			views[i], errs[i] = fetchJSON[stream.AnalysisPeerView](ctx, c, pc, atlasapi.RouteClusterAnalysisView)
-		}(i, pc)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", peers[i].peer.ID, err)
-		}
-	}
-	covered := make([]string, c.cfg.TotalPartitions)
-	for i, v := range views {
-		id := peers[i].peer.ID
-		if v.TotalPartitions != c.cfg.TotalPartitions {
-			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, v.TotalPartitions, c.cfg.TotalPartitions)
-		}
-		for _, p := range v.Partitions {
-			if p < 0 || p >= len(covered) || covered[p] != "" {
-				return nil, fmt.Errorf("inconsistent partition coverage at %d", p)
 			}
 			covered[p] = id
 		}
@@ -627,104 +616,6 @@ func fetchJSON[T any](ctx context.Context, c *Coordinator, pc *peerConn, path st
 	return &v, nil
 }
 
-// merged produces the cluster-wide snapshot, or sheds.
-func (c *Coordinator) merged(w http.ResponseWriter, r *http.Request) *stream.Snapshot {
-	views, err := c.fanoutViews(r.Context())
-	if err != nil {
-		c.shed(w, "cluster snapshot unavailable: "+err.Error(), 0)
-		return nil
-	}
-	return stream.MergePeerViews(views, c.cfg.TotalPartitions)
-}
-
-// writeArtifact answers a rendered artifact under the same
-// conditional-GET discipline the single-node server uses: ETag from the
-// cluster-summed version, If-None-Match → 304, Cache-Control: no-cache.
-func writeArtifact(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if serve.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck // client gone; nothing to do
-}
-
-func (c *Coordinator) summary(w http.ResponseWriter, r *http.Request) {
-	snap := c.merged(w, r)
-	if snap == nil {
-		return
-	}
-	body, err := serve.RenderSummary(snap)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal server error")
-		c.logf("cluster: render summary: %v", err)
-		return
-	}
-	writeArtifact(w, r, serve.ETag(snap.Version), body)
-}
-
-func (c *Coordinator) continents(w http.ResponseWriter, r *http.Request) {
-	snap := c.merged(w, r)
-	if snap == nil {
-		return
-	}
-	body, err := serve.RenderContinents(snap)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal server error")
-		c.logf("cluster: render continents: %v", err)
-		return
-	}
-	writeArtifact(w, r, serve.ETag(snap.Version), body)
-}
-
-func (c *Coordinator) analysis(w http.ResponseWriter, r *http.Request) {
-	views, err := c.fanoutAnalysis(r.Context())
-	if err != nil {
-		var ps *errPeerStatus
-		if errors.As(err, &ps) && ps.code == http.StatusNotFound {
-			apiError(w, http.StatusNotFound, stream.ErrAnalysisDisabled.Error())
-			return
-		}
-		c.shed(w, "cluster analysis unavailable: "+err.Error(), 0)
-		return
-	}
-	res, ver := stream.MergeAnalysisPeerViews(views)
-	body, err := serve.RenderAnalysis(res)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal server error")
-		c.logf("cluster: render analysis: %v", err)
-		return
-	}
-	writeArtifact(w, r, serve.ETag(ver), body)
-}
-
-func (c *Coordinator) asDetail(w http.ResponseWriter, r *http.Request) {
-	rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/api/v1/live/as/"), "/")
-	asn, err := strconv.ParseUint(rest, 10, 32)
-	if err != nil || asn == 0 {
-		apiError(w, http.StatusBadRequest, fmt.Sprintf("bad asn %q", rest))
-		return
-	}
-	snap := c.merged(w, r)
-	if snap == nil {
-		return
-	}
-	agg := snap.AS(uint32(asn))
-	if agg == nil {
-		apiError(w, http.StatusNotFound, fmt.Sprintf("no analyzable probes in AS%d", asn))
-		return
-	}
-	body, err := serve.RenderASDetail(agg)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal server error")
-		c.logf("cluster: render as: %v", err)
-		return
-	}
-	writeArtifact(w, r, serve.ETag(snap.Version), body)
-}
-
 // cursor proxies the resume-cursor query to the probe's owner peer:
 // cursors are shard-local state and must stay authoritative, exactly as
 // single-node (never cached, never merged).
@@ -732,7 +623,7 @@ func (c *Coordinator) cursor(w http.ResponseWriter, r *http.Request) {
 	idStr := r.URL.Query().Get("probe")
 	id, err := strconv.Atoi(idStr)
 	if err != nil || id <= 0 {
-		apiError(w, http.StatusBadRequest, fmt.Sprintf("bad probe id %q", idStr))
+		atlasapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad probe id %q", idStr), 0)
 		return
 	}
 	peers, assign, err := c.snapshotPeers()
@@ -754,7 +645,7 @@ func (c *Coordinator) cursor(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, pc.peer.URL+"/api/v1/live/cursor?probe="+strconv.Itoa(id), nil)
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal server error")
+		atlasapi.WriteError(w, http.StatusInternalServerError, "internal server error", 0)
 		return
 	}
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
@@ -799,7 +690,7 @@ type StatusReply struct {
 
 func (c *Coordinator) status(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		apiError(w, http.StatusMethodNotAllowed, "GET only")
+		atlasapi.WriteError(w, http.StatusMethodNotAllowed, "GET only", 0)
 		return
 	}
 	c.mu.RLock()
@@ -892,19 +783,19 @@ type membersReply struct {
 // check decides whether the cluster is servable.
 func (c *Coordinator) members(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		apiError(w, http.StatusMethodNotAllowed, "POST only")
+		atlasapi.WriteError(w, http.StatusMethodNotAllowed, "POST only", 0)
 		return
 	}
 	var req membersRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, "bad members body: "+err.Error())
+		atlasapi.WriteError(w, http.StatusBadRequest, "bad members body: "+err.Error(), 0)
 		return
 	}
 	ids := make([]string, 0, len(req.Peers))
 	newPeers := make(map[string]*peerConn, len(req.Peers))
 	for _, p := range req.Peers {
 		if p.URL == "" {
-			apiError(w, http.StatusBadRequest, fmt.Sprintf("peer %q has no URL", p.ID))
+			atlasapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("peer %q has no URL", p.ID), 0)
 			return
 		}
 		ids = append(ids, p.ID)
@@ -912,14 +803,14 @@ func (c *Coordinator) members(w http.ResponseWriter, r *http.Request) {
 	}
 	newRing, err := NewRing(ids, c.cfg.TotalPartitions)
 	if err != nil {
-		apiError(w, http.StatusBadRequest, err.Error())
+		atlasapi.WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 
 	c.mu.Lock()
 	if c.balancing {
 		c.mu.Unlock()
-		apiError(w, http.StatusConflict, "rebalance already in progress")
+		atlasapi.WriteError(w, http.StatusConflict, "rebalance already in progress", 0)
 		return
 	}
 	c.balancing = true

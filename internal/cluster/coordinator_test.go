@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,9 +27,37 @@ var fastBackoff = backoff.Policy{Base: time.Millisecond, Max: 4 * time.Milliseco
 // testPeer is one in-process atlasd peer: an ingester owning a slice of
 // the partition space behind a real HTTP server.
 type testPeer struct {
-	id  string
-	ing *stream.Ingester
-	srv *httptest.Server
+	id   string
+	ing  *stream.Ingester
+	srv  *httptest.Server
+	gets *getCounter
+}
+
+// getCounter wraps a peer's handler and counts the GETs it serves by
+// path, so tests can see which fan-outs a coordinator read cost.
+type getCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *getCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			c.mu.Lock()
+			c.n[r.URL.Path]++
+			c.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// take returns the counts since the last take and resets them.
+func (c *getCounter) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = map[string]int{}
+	return n
 }
 
 func (p *testPeer) host() string { return strings.TrimPrefix(p.srv.URL, "http://") }
@@ -53,12 +82,13 @@ func startPeer(t *testing.T, world *sim.World, id string, total int, owned []int
 	health.SetReady(true)
 	health.SetDegraded(func() int { return len(ing.DegradedShards()) })
 	health.Register(mux)
-	srv := httptest.NewServer(mux)
+	gets := &getCounter{n: map[string]int{}}
+	srv := httptest.NewServer(gets.wrap(mux))
 	t.Cleanup(func() {
 		srv.Close()
 		ing.Close()
 	})
-	return &testPeer{id: id, ing: ing, srv: srv}
+	return &testPeer{id: id, ing: ing, srv: srv, gets: gets}
 }
 
 // startCluster boots n ring-assigned peers plus a coordinator in front.
@@ -451,5 +481,125 @@ func TestCoordinatorCursorProxy(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("proxied conditional cursor GET: %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestCoordinatorReadFanout pins what one coordinator read costs: a
+// summary, continents or AS read makes exactly one /cluster/view GET
+// per peer and no analysis-view GET, an analysis read the reverse —
+// revalidations included. Replaying a read's ETag answers 304 with the
+// same ETag.
+func TestCoordinatorReadFanout(t *testing.T) {
+	const total = 8
+	world := smallWorld(t, 41, 0.02)
+	peers, coord := startCluster(t, world, 3, total, nil)
+	ingest(t, world, coord.URL, atlasapi.CodecBinary)
+
+	body, _ := mustGet(t, coord.URL+"/api/v1/live/summary")
+	var sum struct {
+		ASes []uint32 `json:"ases"`
+	}
+	if err := json.Unmarshal(body, &sum); err != nil || len(sum.ASes) == 0 {
+		t.Fatalf("summary lists no ASes (err %v): %s", err, body)
+	}
+	asPath := fmt.Sprintf("/api/v1/live/as/%d", sum.ASes[0])
+
+	for _, c := range []struct {
+		path, fetched, skipped string
+	}{
+		{"/api/v1/live/summary", atlasapi.RouteClusterView, atlasapi.RouteClusterAnalysisView},
+		{"/api/v1/live/continents", atlasapi.RouteClusterView, atlasapi.RouteClusterAnalysisView},
+		{asPath, atlasapi.RouteClusterView, atlasapi.RouteClusterAnalysisView},
+		{"/api/v1/live/analysis", atlasapi.RouteClusterAnalysisView, atlasapi.RouteClusterView},
+	} {
+		t.Run(c.path, func(t *testing.T) {
+			checkFanout := func(read string) {
+				t.Helper()
+				for _, p := range peers {
+					n := p.gets.take()
+					if n[c.fetched] != 1 || n[c.skipped] != 0 {
+						t.Errorf("%s: peer %s served %d %s and %d %s GETs, want 1 and 0",
+							read, p.id, n[c.fetched], c.fetched, n[c.skipped], c.skipped)
+					}
+				}
+			}
+			for _, p := range peers {
+				p.gets.take()
+			}
+			_, hdr := mustGet(t, coord.URL+c.path)
+			etag := hdr.Get("ETag")
+			checkFanout("read")
+
+			req, err := http.NewRequest(http.MethodGet, coord.URL+c.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("If-None-Match", etag)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotModified {
+				t.Errorf("If-None-Match %s: %d, want 304", etag, resp.StatusCode)
+			}
+			if got := resp.Header.Get("ETag"); got != etag {
+				t.Errorf("304 ETag = %q, want %q", got, etag)
+			}
+			checkFanout("revalidation")
+		})
+	}
+}
+
+// TestCoordinatorCoverageMessages: both read kinds run the same exact-
+// coverage check, so a snapshot and an analysis read shed with the same
+// specific reason for each way peer views can fail to cover the
+// partition space exactly once.
+func TestCoordinatorCoverageMessages(t *testing.T) {
+	const total = 2
+	type claim struct {
+		total int
+		parts []int
+	}
+	fakePeer := func(c claim) *httptest.Server {
+		body, err := json.Marshal(map[string]any{"total_partitions": c.total, "partitions": c.parts, "probes": []any{}, "events": []any{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	for _, c := range []struct {
+		a, b claim
+		want string
+	}{
+		{claim{3, []int{0}}, claim{total, []int{1}}, "peer a runs 3 partitions, cluster runs 2"},
+		{claim{total, []int{0, 5}}, claim{total, []int{1}}, "peer a claims partition 5 outside [0, 2)"},
+		{claim{total, []int{0}}, claim{total, []int{0, 1}}, "partition 0 claimed by both a and b"},
+		{claim{total, []int{0}}, claim{total, []int{}}, "partition 1 unowned"},
+	} {
+		coord, err := cluster.New(cluster.Config{
+			Peers:           []cluster.Peer{{ID: "a", URL: fakePeer(c.a).URL}, {ID: "b", URL: fakePeer(c.b).URL}},
+			TotalPartitions: total,
+			Logf:            t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(coord)
+		for _, path := range []string{"/api/v1/live/summary", "/api/v1/live/analysis"} {
+			code, body, hdr := get(t, srv.URL+path)
+			if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+				t.Errorf("%s with %q: %d (Retry-After %q), want 503 with Retry-After", path, c.want, code, hdr.Get("Retry-After"))
+			}
+			if !strings.Contains(string(body), c.want) {
+				t.Errorf("%s: shed body %s does not say %q", path, body, c.want)
+			}
+		}
+		srv.Close()
 	}
 }

@@ -12,27 +12,40 @@ import (
 	"dynaddr/internal/stream"
 )
 
-// Tier maintains materialized live-query answers over an ingester.
+// Source is what a Tier reads: a snapshot barrier and an analysis
+// barrier, each reporting the stream position it was taken at. A local
+// *stream.Ingester is one; the cluster coordinator's scatter-gather
+// merge over its peers is the other. AnalysisVersioned returns an error
+// matching stream.ErrAnalysisDisabled when the source runs without the
+// analysis engine.
+type Source interface {
+	SnapshotContext(ctx context.Context) (*stream.Snapshot, error)
+	AnalysisVersioned(ctx context.Context) (*liveanalysis.Result, stream.Version, error)
+}
+
+// Tier maintains materialized live-query answers over a Source.
 //
-// A refresh takes one snapshot barrier (plus one analysis barrier when
-// the state moved), pre-renders every stream-wide artifact, and
-// publishes an immutable *Generation behind an atomic pointer. Readers
-// pin whatever generation is current — snapshot isolation: a reader
-// never observes a half-applied batch, because barriers only complete
-// between records and a published generation never mutates. Staleness
-// is bounded by MaxStaleness, and refreshes are coalesced: any number
-// of concurrent readers arriving past the window cost one barrier, not
-// N. That is what decouples dashboard read traffic from ingest — the
-// authoritative shards see at most one marker per window regardless of
-// reader count.
+// A generation has two halves that refresh independently, each only
+// when a read of its kind needs it: the snapshot half (summary,
+// continents, AS detail; keyed by Version) and the analysis half (keyed
+// by AnalysisVersion). A refresh takes one barrier of its kind,
+// re-renders only when the barrier's version moved, and publishes an
+// immutable *Generation behind an atomic pointer. Readers pin whatever
+// generation is current — snapshot isolation: a reader never observes a
+// half-applied batch, because barriers only complete between records
+// and a published generation never mutates. Staleness is bounded by
+// MaxStaleness, and refreshes are coalesced: a reader that queued
+// behind a refresh which began after it arrived takes that refresh's
+// result, so any number of concurrent readers cost one barrier per
+// kind, not N — even at staleness 0. That is what decouples dashboard
+// read traffic from ingest.
 type Tier struct {
-	ing      *stream.Ingester
 	maxStale time.Duration
-	now      func() time.Time
 	m        *tierMetrics
 
-	cur atomic.Pointer[Generation]
-	mu  sync.Mutex // serializes refreshes; readers never take it on the hit path
+	cur  atomic.Pointer[Generation]
+	snap half[*stream.Snapshot]
+	an   half[*liveanalysis.Result]
 }
 
 // DefaultMaxStaleness bounds how old a served generation may be before
@@ -42,11 +55,11 @@ const DefaultMaxStaleness = 500 * time.Millisecond
 // Option configures a Tier.
 type Option func(*Tier)
 
-// WithMaxStaleness sets the refresh window. Zero means every read
-// refreshes (the cache then only saves rendering and 304 bandwidth,
-// not barriers); negative means manual — the tier refreshes only on
-// the first read and explicit Refresh calls, which tests use to pin
-// generations deterministically.
+// WithMaxStaleness sets the refresh window. Zero means every read takes
+// a barrier of its kind, shared with concurrent readers (the cache then
+// saves rendering and 304 bandwidth, not barriers); negative means
+// manual — the tier refreshes only on the first read and explicit
+// Refresh calls, which tests use to pin generations deterministically.
 func WithMaxStaleness(d time.Duration) Option {
 	return func(t *Tier) { t.maxStale = d }
 }
@@ -57,16 +70,22 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(t *Tier) { t.m = newTierMetrics(reg, t) }
 }
 
-// WithClock overrides the tier's clock, for staleness tests.
-func WithClock(now func() time.Time) Option {
-	return func(t *Tier) { t.now = now }
-}
-
-// NewTier wraps an ingester. The caller owns the ingester's lifecycle;
-// the tier holds no background goroutines — all refreshes happen on
-// reader goroutines.
-func NewTier(ing *stream.Ingester, opts ...Option) *Tier {
-	t := &Tier{ing: ing, maxStale: DefaultMaxStaleness, now: time.Now}
+// NewTier wraps a source. The caller owns the source's lifecycle; the
+// tier holds no background goroutines — all refreshes happen on reader
+// goroutines.
+func NewTier(src Source, opts ...Option) *Tier {
+	t := &Tier{maxStale: DefaultMaxStaleness}
+	t.snap = half[*stream.Snapshot]{
+		barrier: func(ctx context.Context) (*stream.Snapshot, stream.Version, error) {
+			snap, err := src.SnapshotContext(ctx)
+			if err != nil {
+				return nil, stream.Version{}, err
+			}
+			return snap, snap.Version, nil
+		},
+		render: renderSnapshot,
+	}
+	t.an = half[*liveanalysis.Result]{barrier: src.AnalysisVersioned, render: renderAnalysis}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -76,28 +95,57 @@ func NewTier(ing *stream.Ingester, opts ...Option) *Tier {
 	return t
 }
 
-// Generation is one immutable published read view: the pinned snapshot,
-// the analysis fold taken in the same refresh, and the pre-rendered
-// response bytes the live handlers serve verbatim.
+// Kind names one independently refreshed half of a generation.
+type Kind int
+
+const (
+	// SnapshotKind is the half behind summary, continents and AS detail.
+	SnapshotKind Kind = iota
+	// AnalysisKind is the half behind the analysis fold.
+	AnalysisKind
+)
+
+// Generation is one immutable published read view. Its snapshot half
+// (Version, Snap and the artifacts rendered from Snap) and its analysis
+// half (AnalysisVersion and the analysis bytes) are each absent until a
+// read of their kind, or Refresh, first publishes them.
 type Generation struct {
 	// Version is the stream position of the snapshot barrier; it keys the
 	// ETags of every snapshot-derived artifact.
 	Version stream.Version
-	// AnalysisVersion is the position of the analysis barrier from the
-	// same refresh. It can run ahead of Version (records may land between
-	// the two barriers) but never behind.
+	// AnalysisVersion is the position of the analysis barrier. It keys
+	// the analysis ETag and moves independently of Version.
 	AnalysisVersion stream.Version
 	// Snap is the pinned snapshot the artifacts were rendered from.
 	Snap *stream.Snapshot
-	// Analysis is the pinned fold, nil when the ingester runs without the
-	// analysis engine.
-	Analysis *liveanalysis.Result
 
-	built      time.Time
 	summary    []byte
 	continents []byte
-	analysis   []byte // nil when analysis is disabled
+	analysis   []byte
 	as         *asCache
+}
+
+func renderSnapshot(snap *stream.Snapshot, ver stream.Version) (func(*Generation), error) {
+	summary, err := RenderSummary(snap)
+	if err != nil {
+		return nil, err
+	}
+	continents, err := RenderContinents(snap)
+	if err != nil {
+		return nil, err
+	}
+	as := &asCache{m: make(map[uint32][]byte)}
+	return func(g *Generation) {
+		g.Version, g.Snap, g.summary, g.continents, g.as = ver, snap, summary, continents, as
+	}, nil
+}
+
+func renderAnalysis(res *liveanalysis.Result, ver stream.Version) (func(*Generation), error) {
+	body, err := RenderAnalysis(res)
+	if err != nil {
+		return nil, err
+	}
+	return func(g *Generation) { g.AnalysisVersion, g.analysis = ver, body }, nil
 }
 
 // asCache memoizes per-AS renders lazily: a generation may cover tens
@@ -108,6 +156,14 @@ type asCache struct {
 	m  map[uint32][]byte
 }
 
+// Has reports whether g (possibly nil) carries the half of kind k.
+func (g *Generation) Has(k Kind) bool {
+	if k == AnalysisKind {
+		return g != nil && g.analysis != nil
+	}
+	return g != nil && g.summary != nil
+}
+
 // SummaryJSON returns the summary endpoint's exact response bytes.
 func (g *Generation) SummaryJSON() []byte { return g.summary }
 
@@ -115,7 +171,7 @@ func (g *Generation) SummaryJSON() []byte { return g.summary }
 func (g *Generation) ContinentsJSON() []byte { return g.continents }
 
 // AnalysisJSON returns the analysis endpoint's exact response bytes,
-// nil when the ingester runs without the analysis engine.
+// nil when the source runs without the analysis engine.
 func (g *Generation) AnalysisJSON() []byte { return g.analysis }
 
 // ASJSON returns one AS detail's exact response bytes, rendering and
@@ -145,101 +201,143 @@ func (g *Generation) ETag() string { return ETag(g.Version) }
 // AnalysisETag is the validator for the analysis artifact.
 func (g *Generation) AnalysisETag() string { return ETag(g.AnalysisVersion) }
 
-// Built reports when the generation was published.
-func (g *Generation) Built() time.Time { return g.built }
-
 // Current returns the published generation without refreshing; nil
 // before the first refresh.
 func (t *Tier) Current() *Generation { return t.cur.Load() }
 
-// Generation returns a generation no older than the staleness window,
-// refreshing synchronously (and coalesced under the tier mutex) when
-// the current one has expired. This is the read path: fresh hits cost
-// two atomic loads and no locks.
-func (t *Tier) Generation(ctx context.Context) (*Generation, error) {
-	if g := t.cur.Load(); g != nil && !t.expired(g) {
-		t.m.observeAge(t.now().Sub(g.built))
-		return g, nil
+// Generation returns a generation whose half of kind k is no older than
+// the staleness window, refreshing that half synchronously (coalesced
+// with concurrent readers of the same kind) when it has expired. The
+// other half is whatever was last published. This is the read path:
+// fresh hits cost a few atomic loads and no locks.
+func (t *Tier) Generation(ctx context.Context, k Kind) (*Generation, error) {
+	var err error
+	if k == AnalysisKind {
+		err = t.an.get(ctx, t)
+	} else {
+		err = t.snap.get(ctx, t)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Double-check: another reader may have refreshed while we queued.
-	if g := t.cur.Load(); g != nil && !t.expired(g) {
-		t.m.observeAge(t.now().Sub(g.built))
-		return g, nil
-	}
-	return t.refreshLocked(ctx)
-}
-
-// Refresh forces a new generation regardless of staleness.
-func (t *Tier) Refresh(ctx context.Context) (*Generation, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.refreshLocked(ctx)
-}
-
-func (t *Tier) expired(g *Generation) bool {
-	if t.maxStale < 0 {
-		return false // manual mode: generations never expire on their own
-	}
-	return t.now().Sub(g.built) > t.maxStale
-}
-
-func (t *Tier) refreshLocked(ctx context.Context) (*Generation, error) {
-	start := t.now()
-	snap, err := t.ing.SnapshotContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if prev := t.cur.Load(); prev != nil && prev.Version == snap.Version {
-		// Nothing was applied since the previous barrier, so every
-		// artifact — the analysis fold included — is unchanged. Republish
-		// with a fresh build time, sharing the rendered bytes and the
-		// per-AS memo, and skip the analysis barrier entirely.
-		next := *prev
-		next.built = start
-		t.cur.Store(&next)
-		t.m.refreshed(t.now().Sub(start), true)
-		return &next, nil
-	}
+	return t.cur.Load(), nil
+}
 
-	g := &Generation{
-		Version: snap.Version,
-		Snap:    snap,
-		built:   start,
-		as:      &asCache{m: make(map[uint32][]byte)},
-	}
-	if g.summary, err = RenderSummary(snap); err != nil {
+// Refresh forces both halves fresh regardless of staleness. When the
+// snapshot barrier finds the stream exactly where the published
+// analysis was taken, the analysis half is restamped without a fold.
+// A source without the analysis engine leaves the analysis half absent.
+func (t *Tier) Refresh(ctx context.Context) (*Generation, error) {
+	t.snap.mu.Lock()
+	err := t.snap.refreshLocked(ctx, t)
+	t.snap.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	if g.continents, err = RenderContinents(snap); err != nil {
+	t.an.mu.Lock()
+	defer t.an.mu.Unlock()
+	if p := t.an.cur.Load(); p != nil && p.ver == t.cur.Load().Version {
+		t.an.stamp(t, p.ver, time.Now(), t.an.begun.Add(1), true)
+	} else if err := t.an.refreshLocked(ctx, t); err != nil && !errors.Is(err, stream.ErrAnalysisDisabled) {
 		return nil, err
 	}
-	res, aver, err := t.ing.AnalysisVersioned(ctx)
-	switch {
-	case errors.Is(err, stream.ErrAnalysisDisabled):
-		// Served as 404 downstream; the generation stays valid.
-	case err != nil:
-		return nil, err
-	default:
-		g.Analysis = res
-		g.AnalysisVersion = aver
-		if g.analysis, err = RenderAnalysis(res); err != nil {
-			return nil, err
+	return t.cur.Load(), nil
+}
+
+func (t *Tier) expired(built time.Time) bool {
+	if t.maxStale < 0 {
+		return false // manual mode: generations never expire on their own
+	}
+	return time.Since(built) > t.maxStale
+}
+
+// publish installs a refreshed half into a copy of the current
+// generation. The two halves refresh under separate locks, so the swap
+// retries when the other half published in between.
+func (t *Tier) publish(install func(*Generation)) {
+	for {
+		old := t.cur.Load()
+		next := new(Generation)
+		if old != nil {
+			*next = *old
+		}
+		install(next)
+		if t.cur.CompareAndSwap(old, next) {
+			return
 		}
 	}
-	t.cur.Store(g)
-	t.m.refreshed(t.now().Sub(start), false)
-	return g, nil
+}
+
+// half is the coalesced, version-keyed cache behind one half of the
+// generation: barrier takes the stream position, and render turns the
+// barrier's result into the update that installs the half in a
+// Generation.
+type half[R any] struct {
+	barrier func(context.Context) (R, stream.Version, error)
+	render  func(R, stream.Version) (func(*Generation), error)
+
+	mu    sync.Mutex    // serializes this half's refreshes
+	begun atomic.Uint64 // refreshes started
+	cur   atomic.Pointer[stamp]
+}
+
+// stamp describes the refresh that last published a half.
+type stamp struct {
+	ver   stream.Version
+	built time.Time
+	seq   uint64 // begun's value when the refresh started
+}
+
+// get makes the half fresh. A reader queued behind a refresh accepts
+// that refresh's result when it began after the reader arrived: its
+// barrier then covers every record acknowledged before the read.
+func (h *half[R]) get(ctx context.Context, t *Tier) error {
+	arrived := h.begun.Load()
+	if p := h.cur.Load(); p != nil && !t.expired(p.built) {
+		t.m.observeAge(time.Since(p.built))
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if p := h.cur.Load(); p != nil && (p.seq > arrived || !t.expired(p.built)) {
+		t.m.observeAge(time.Since(p.built))
+		return nil
+	}
+	return h.refreshLocked(ctx, t)
+}
+
+// refreshLocked takes one barrier and publishes its half, reusing the
+// rendered bytes (and per-AS memo) when the version has not moved.
+func (h *half[R]) refreshLocked(ctx context.Context, t *Tier) error {
+	seq := h.begun.Add(1)
+	start := time.Now()
+	raw, ver, err := h.barrier(ctx)
+	if err != nil {
+		return err
+	}
+	if p := h.cur.Load(); p != nil && p.ver == ver {
+		h.stamp(t, ver, start, seq, true)
+		return nil
+	}
+	install, err := h.render(raw, ver)
+	if err != nil {
+		return err
+	}
+	t.publish(install)
+	h.stamp(t, ver, start, seq, false)
+	return nil
+}
+
+// stamp records a refresh of the half; the half it covers must already
+// be installed in t.cur, so a reader that sees the stamp finds it there.
+func (h *half[R]) stamp(t *Tier, ver stream.Version, start time.Time, seq uint64, reused bool) {
+	h.cur.Store(&stamp{ver: ver, built: start, seq: seq})
+	t.m.refreshed(time.Since(start), reused)
 }
 
 // ObserveRequest records a serve-tier read outcome: hit means the
 // client revalidated (304, no body); miss means a full body was served.
-// Nil-receiver safe so handlers can call it without a tier configured.
 func (t *Tier) ObserveRequest(route string, hit bool) {
-	if t == nil {
-		return
-	}
 	t.m.request(route, hit)
 }
 
@@ -283,7 +381,7 @@ func newTierMetrics(reg *obs.Registry, t *Tier) *tierMetrics {
 	if reg != nil && t != nil {
 		reg.GaugeFunc("serve_generation_seq", "Applied-record sequence of the published generation.", func() float64 {
 			g := t.cur.Load()
-			if g == nil {
+			if !g.Has(SnapshotKind) {
 				return 0
 			}
 			return float64(g.Version.Seq)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -236,4 +237,91 @@ func collectViews(t *testing.T, ctx context.Context, ings ...*stream.Ingester) [
 		out[i] = pv
 	}
 	return out
+}
+
+// TestConfigPartitions pins how Shards, TotalPartitions and
+// OwnedPartitions combine: nil OwnedPartitions owns every partition,
+// a listed or empty set overrides Shards, and a contradiction is
+// refused by both constructors instead of quietly owning a subset.
+func TestConfigPartitions(t *testing.T) {
+	all := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	cases := []struct {
+		shards, total int
+		owned         []int
+		wantTotal     int
+		wantOwned     []int // nil: the config must be refused
+	}{
+		{0, 0, nil, 4, all(4)},
+		{0, 8, nil, 8, all(8)},
+		{4, 0, nil, 4, all(4)},
+		{4, 8, nil, 0, nil},
+		{8, 0, nil, 8, all(8)},
+		{8, 8, nil, 8, all(8)},
+		{0, 8, []int{}, 8, []int{}},
+		{4, 8, []int{}, 8, []int{}},
+		{0, 8, []int{1, 5}, 8, []int{1, 5}},
+		{4, 8, []int{1, 5}, 8, []int{1, 5}},
+		{8, 8, []int{1, 5}, 8, []int{1, 5}},
+		{0, 0, []int{1, 5}, 0, nil}, // two owned partitions imply a total of 2
+		{0, 8, []int{1, 1}, 0, nil},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("shards=%d/total=%d/owned=%v", c.shards, c.total, c.owned)
+		if c.owned == nil {
+			name = fmt.Sprintf("shards=%d/total=%d/owned=nil", c.shards, c.total)
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := stream.Config{Shards: c.shards, TotalPartitions: c.total, OwnedPartitions: c.owned, Pfx2AS: testStore(t)}
+			if c.wantOwned == nil {
+				durable := cfg
+				durable.WALDir = t.TempDir()
+				if ing, _, err := stream.Recover(durable); err == nil {
+					ing.Close()
+					t.Fatal("Recover accepted a contradictory config")
+				}
+				defer func() {
+					if recover() == nil {
+						t.Error("NewIngester accepted a contradictory config")
+					}
+				}()
+				stream.NewIngester(cfg).Close()
+				return
+			}
+			ing := stream.NewIngester(cfg)
+			defer ing.Close()
+			if got := ing.TotalPartitions(); got != c.wantTotal {
+				t.Errorf("TotalPartitions() = %d, want %d", got, c.wantTotal)
+			}
+			if got := ing.OwnedPartitions(); fmt.Sprint(got) != fmt.Sprint(c.wantOwned) {
+				t.Errorf("OwnedPartitions() = %v, want %v", got, c.wantOwned)
+			}
+			owned := make(map[int]bool)
+			for _, p := range c.wantOwned {
+				owned[p] = true
+			}
+			// One probe per partition: owned partitions accept, the rest
+			// refuse with ErrNotOwner.
+			seen := make(map[int]bool)
+			for id := atlasdata.ProbeID(1); len(seen) < c.wantTotal; id++ {
+				p := stream.PartitionOf(id, c.wantTotal)
+				if seen[p] {
+					continue
+				}
+				seen[p] = true
+				err := ing.Meta(atlasdata.ProbeMeta{ID: id, Country: "DE", Version: atlasdata.V3})
+				if owned[p] && err != nil {
+					t.Errorf("partition %d (probe %d) is owned but ingest failed: %v", p, id, err)
+				}
+				if !owned[p] && !errors.Is(err, stream.ErrNotOwner) {
+					t.Errorf("partition %d (probe %d) is not owned; ingest err = %v, want ErrNotOwner", p, id, err)
+				}
+			}
+		})
+	}
 }

@@ -271,11 +271,15 @@ type Ingester struct {
 }
 
 // NewIngester starts the shard goroutines and returns a ready ingester.
-// Call Close to drain and stop them. With Config.WALDir set it opens
-// (and, if needed, recovers) the durable ingester and panics on
-// recovery failure; call Recover directly to handle that error.
+// Call Close to drain and stop them. It panics on a config that
+// contradicts itself. With Config.WALDir set it opens (and, if needed,
+// recovers) the durable ingester and panics on recovery failure; call
+// Recover directly to handle either error.
 func NewIngester(cfg Config) *Ingester {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.WALDir != "" {
 		in, _, err := Recover(cfg)
 		if err != nil {
@@ -300,9 +304,6 @@ func newIngester(cfg Config) *Ingester {
 	}
 	in := &Ingester{cfg: cfg, total: cfg.TotalPartitions, shards: make([]*shard, len(owned))}
 	for i, p := range owned {
-		if p < 0 || p >= in.total {
-			panic(fmt.Sprintf("stream: owned partition %d outside [0, %d)", p, in.total))
-		}
 		in.shards[i] = in.newShard(p)
 	}
 	in.rebuildTable()

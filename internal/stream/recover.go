@@ -175,6 +175,9 @@ type RecoverStats struct {
 // and resume producers from there.
 func Recover(cfg Config) (*Ingester, *RecoverStats, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	if cfg.WALDir == "" {
 		return nil, nil, errors.New("stream: Recover requires Config.WALDir")
 	}

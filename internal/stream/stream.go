@@ -27,6 +27,7 @@
 package stream
 
 import (
+	"fmt"
 	"time"
 
 	"dynaddr/internal/obs"
@@ -37,10 +38,13 @@ import (
 // Config parameterises an Ingester.
 type Config struct {
 	// Shards is the number of shard goroutines; probe IDs are hashed
-	// across them. Zero means 4. A durable ingester's shard count is
-	// part of its on-disk layout: reopening a WAL directory with a
-	// different count is refused, because resharding would break the
-	// per-probe ordering the logs preserve by construction.
+	// across them. Zero means TotalPartitions when that is set, else 4.
+	// With nil OwnedPartitions, Shards and TotalPartitions must agree
+	// when both are set: every partition runs one shard. A durable
+	// ingester's shard count is part of its on-disk layout: reopening a
+	// WAL directory with a different count is refused, because
+	// resharding would break the per-probe ordering the logs preserve by
+	// construction.
 	Shards int
 	// Buffer is the per-shard channel capacity; a full shard blocks its
 	// producers (backpressure). Zero means 256.
@@ -111,10 +115,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.OwnedPartitions != nil {
+	switch {
+	case c.OwnedPartitions != nil:
 		c.Shards = len(c.OwnedPartitions)
-	}
-	if c.Shards <= 0 && c.OwnedPartitions == nil {
+	case c.Shards <= 0 && c.TotalPartitions > 0:
+		c.Shards = c.TotalPartitions // nil owns every partition
+	case c.Shards <= 0:
 		c.Shards = 4
 	}
 	if c.TotalPartitions <= 0 {
@@ -133,6 +139,24 @@ func (c Config) withDefaults() Config {
 		c.RearmEvery = 500 * time.Millisecond
 	}
 	return c
+}
+
+// validate refuses a defaulted config that contradicts itself.
+func (c Config) validate() error {
+	if c.OwnedPartitions == nil && c.Shards != c.TotalPartitions {
+		return fmt.Errorf("stream: %d shards cannot own all %d partitions (nil OwnedPartitions means all; list the owned partitions instead)", c.Shards, c.TotalPartitions)
+	}
+	seen := make(map[int]bool, len(c.OwnedPartitions))
+	for _, p := range c.OwnedPartitions {
+		if p < 0 || p >= c.TotalPartitions {
+			return fmt.Errorf("stream: owned partition %d outside [0, %d)", p, c.TotalPartitions)
+		}
+		if seen[p] {
+			return fmt.Errorf("stream: owned partition %d listed twice", p)
+		}
+		seen[p] = true
+	}
+	return nil
 }
 
 // Thresholds mirrored from the batch pipeline (internal/core); the

@@ -75,7 +75,7 @@ func main() {
 	shards := flag.Int("shards", 4, "ingest shard count in -live mode")
 	analysis := flag.Bool("analysis", true, "maintain the live analysis engine in -live mode (GET /api/v1/live/analysis)")
 	walDir := flag.String("wal-dir", "", "durable ingest: per-shard WAL and checkpoint directory (requires -live)")
-	fsyncPolicy := flag.String("fsync", "always", "WAL fsync policy with -wal-dir: always, off, or an integer N (sync every N appends)")
+	fsyncPolicy := flag.String("fsync", "always", "WAL fsync policy with -wal-dir, applied per group commit: always (fsync every commit), off, or an integer N (fsync once N or more records are unsynced)")
 	ckptEvery := flag.Int("checkpoint-every", 4096, "records between shard checkpoints with -wal-dir (negative disables)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "fault-injection PRNG seed (0 = fixed default)")
 	chaosDrop := flag.Float64("chaos-drop", 0, "probability a request's connection is dropped with no response")

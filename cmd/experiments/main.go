@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"dynaddr"
 	"dynaddr/internal/core"
@@ -402,11 +403,14 @@ func cdfAt(cdf []stats.Point, hours float64) float64 {
 	return y
 }
 
+// keysOf returns m's keys in ascending order, so output that prints
+// them is byte-stable across runs.
 func keysOf(m map[uint32]bool) []uint32 {
 	var out []uint32
 	for k := range m {
 		out = append(out, k)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -218,7 +218,7 @@ func (s *shard) noteDeadLetterDrop() {
 // encoding when possible.
 func (s *shard) quarantineRejected(rec record, reason, detail string) {
 	e := DeadLetterEntry{Kind: kindLabel(rec.kind), Reason: reason, Detail: detail, Probe: recordProbe(rec)}
-	if payload, err := encodeRecord(rec); err == nil {
+	if payload, err := appendRecord(nil, rec); err == nil {
 		e.Payload, e.Replayable = payload, true
 	}
 	s.quarantine(e)

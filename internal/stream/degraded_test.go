@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"syscall"
 	"testing"
@@ -119,7 +120,10 @@ func TestDegradedModeLifecycle(t *testing.T) {
 
 // TestDegradedModeFsyncFailure: a failing fsync must degrade the shard
 // just like a failing write — acked⇒durable is only true if the sync
-// policy's promises hold.
+// policy's promises hold. The write before the failed fsync landed, so
+// the reopened log already holds the parked record: re-arm must apply
+// it from there, not append it a second time, or recovery replays it
+// twice and diverges from the live state.
 func TestDegradedModeFsyncFailure(t *testing.T) {
 	cfg, fs := degradedConfig(t, nil)
 	ing := stream.NewIngester(cfg)
@@ -140,6 +144,42 @@ func TestDegradedModeFsyncFailure(t *testing.T) {
 	waitDegraded(t, ing, 0)
 	if err := ing.Uptime(atlasdata.UptimeRecord{Probe: 3, Timestamp: at(2), Uptime: 120}); err != nil {
 		t.Fatalf("ingest after re-arm: %v", err)
+	}
+	requireRecoversLive(t, cfg, ing, 3)
+}
+
+// requireRecoversLive closes ing and demands that Recover rebuild
+// exactly its final state: snapshot and the given probes' cursors,
+// byte for byte.
+func requireRecoversLive(t *testing.T, cfg stream.Config, ing *stream.Ingester, probes ...atlasdata.ProbeID) {
+	t.Helper()
+	state := func(ing *stream.Ingester) string {
+		t.Helper()
+		out := string(snapshotBytes(t, ing.Snapshot()))
+		for _, id := range probes {
+			c, err := ing.Cursor(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += "\n" + string(b)
+		}
+		return out
+	}
+	want := state(ing)
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := stream.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := state(rec); got != want {
+		t.Fatalf("recovered state differs from live one:\nlive:      %s\nrecovered: %s", want, got)
 	}
 }
 

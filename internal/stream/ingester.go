@@ -63,6 +63,10 @@ const (
 	kindQuarantine
 )
 
+// isData reports whether records of kind k are persisted and applied —
+// the kinds a shard group-commits.
+func (k recordKind) isData() bool { return k <= kindUptime }
+
 // record is the envelope travelling through a shard's channel. Exactly
 // one payload field is meaningful, selected by kind.
 type record struct {
@@ -116,14 +120,18 @@ type shard struct {
 	// know the shard is quiescent and its logs are closed.
 	done chan struct{}
 
-	// Durability (nil/zero for an in-memory ingester). The shard appends
+	// Durability (nil/zero for an in-memory ingester). The shard commits
 	// every record to its log before applying it, so the log holds a
 	// superset of the applied state in per-probe order.
 	log       *wal.Log
 	dir       string
 	ckptEvery int
 	sinceCkpt int
-	lastSeq   uint64 // sequence of the last appended record
+	lastSeq   uint64 // sequence of the last applied record
+	// batch and frame are the group commit's reused buffers: the records
+	// drained for one commit and one record's encoded payload.
+	batch []record
+	frame []byte
 	// gen counts the shard's completed checkpoints (restored from the
 	// checkpoint document on recovery). Together with the consumed-record
 	// count it forms the shard's Version — the serving tier's cache key.
@@ -139,16 +147,17 @@ type shard struct {
 	// counters); nil when instrumentation is disabled.
 	reg *obs.Registry
 
-	// Degraded mode: a durability error (append, fsync, rotation,
+	// Degraded mode: a durability error (commit, fsync, rotation,
 	// checkpoint) flips the shard read-only instead of killing it.
 	// Queries keep answering from memory, new writes are shed at send()
-	// with ErrDegraded, and records already queued are parked. The run
-	// loop probes the WAL directory every rearmEvery; once writes
-	// succeed again it reopens the log (repairing any torn tail the
-	// failed append left), flushes the parked records in arrival order,
-	// and clears the flag. The acked⇒durable contract is unchanged: a
-	// record is only acknowledged once appended, so nothing acked is
-	// ever lost to the degraded window.
+	// with ErrDegraded, and records already queued (including the batch
+	// whose commit failed) are parked. The run loop probes the WAL
+	// directory every rearmEvery; once writes succeed again it reopens
+	// the log (repairing any torn tail the failed commit left), lands
+	// the parked records in arrival order, and clears the flag. Nothing
+	// is applied before it is in the log, so nothing acked is ever lost
+	// to the degraded window: a parked record is either in the log or
+	// still queued for it.
 	degraded   atomic.Bool
 	parked     []record
 	walOpt     wal.Options // reopen options for the re-arm path
@@ -191,8 +200,8 @@ func (s *shard) degrade(err error) {
 }
 
 // tryRearm probes the WAL directory and, if it takes durable writes
-// again, reopens the log and flushes the parked records through the
-// normal append-before-apply path. Runs on the shard goroutine.
+// again, reopens the log and lands the parked records. Runs on the
+// shard goroutine.
 func (s *shard) tryRearm() {
 	if s.log == nil || !s.degraded.Load() {
 		return
@@ -201,30 +210,44 @@ func (s *shard) tryRearm() {
 		return
 	}
 	// The old handle is broken (mid-frame, failed fd, or unsynced);
-	// reopening repairs the torn tail and resumes at the last durable
-	// sequence, exactly like crash recovery.
+	// reopening repairs the torn tail and resumes at the last valid
+	// frame, exactly like crash recovery.
 	s.log.Close()
 	log, err := wal.Open(s.dir, s.walOpt)
 	if err != nil {
 		return
 	}
+	// The frames past the last applied sequence are the ones the failed
+	// commit managed to write: a prefix of parked, in order. Sync them
+	// and apply them as they are — appending them again would put them in
+	// the log twice.
+	parked := s.parked
+	onDisk := 0
+	if end := log.NextSeq() - 1; end > s.lastSeq {
+		onDisk = min(int(end-s.lastSeq), len(parked))
+		if err := log.Sync(); err != nil {
+			log.Close()
+			return
+		}
+	} else {
+		s.lastSeq = end
+	}
 	s.log = log
-	s.lastSeq = log.NextSeq() - 1
 	s.errMu.Lock()
 	s.walErr = nil
 	s.errMu.Unlock()
 	s.degraded.Store(false)
 
-	parked := s.parked
 	s.parked = nil
-	for i, rec := range parked {
-		s.ingestOne(rec)
-		if s.degraded.Load() {
-			// Re-degraded mid-flush: ingestOne re-parked rec; keep the rest
-			// behind it in order.
-			s.parked = append(s.parked, parked[i+1:]...)
-			return
-		}
+	s.applyCommitted(parked[:onDisk])
+	rest := parked[onDisk:]
+	if s.degraded.Load() {
+		// A checkpoint failed while applying: keep the rest parked.
+		s.parked = append(s.parked, rest...)
+		return
+	}
+	if len(rest) > 0 {
+		s.ingestBatch(rest)
 	}
 }
 
@@ -685,18 +708,22 @@ func (in *Ingester) Close() error {
 }
 
 // run is the shard goroutine: drain the channel, persist, then drive
-// the state machines. The append-before-apply order is the durability
+// the state machines. The commit-before-apply order is the durability
 // contract — the WAL always holds a superset of the applied records,
 // in per-probe arrival order. While degraded the loop keeps serving
 // markers (queries stay up) and wakes every rearmEvery to probe the
 // WAL directory for recovered writability.
 func (s *shard) run() {
+	var (
+		rec  record
+		ok   bool
+		held bool // rec is the marker a group commit's drain stopped at
+	)
 	for {
-		var (
-			rec record
-			ok  bool
-		)
-		if s.degraded.Load() && s.rearmEvery > 0 {
+		switch {
+		case held:
+			held = false
+		case s.degraded.Load() && s.rearmEvery > 0:
 			timer := time.NewTimer(s.rearmEvery)
 			select {
 			case rec, ok = <-s.in:
@@ -705,7 +732,7 @@ func (s *shard) run() {
 				s.tryRearm()
 				continue
 			}
-		} else {
+		default:
 			rec, ok = <-s.in
 		}
 		if !ok {
@@ -728,14 +755,20 @@ func (s *shard) run() {
 			s.ametrics.observe(v)
 			rec.analysis <- v
 			continue
-		}
-		if s.degraded.Load() && rec.kind != kindQuarantine {
-			// In-flight records that raced the degrade: park them, bounded
-			// by the channel capacity, and flush them on re-arm.
-			s.parked = append(s.parked, rec)
+		case kindQuarantine:
+			s.quarantine(rec.q.entry)
 			continue
 		}
-		s.ingestOne(rec)
+		switch {
+		case s.degraded.Load():
+			// In-flight records that raced the degrade: park them, bounded
+			// by the channel capacity, and land them on re-arm.
+			s.parked = append(s.parked, rec)
+		case s.log == nil:
+			s.apply(rec)
+		default:
+			rec, held = s.groupCommit(rec)
+		}
 	}
 	// Last chance to land parked records before the logs close.
 	if s.degraded.Load() {
@@ -752,39 +785,81 @@ func (s *shard) run() {
 	}
 }
 
-// ingestOne persists and applies one data or quarantine record. An
-// append failure degrades the shard and parks the record — it is
-// applied only once its bytes are in the log, so recovery never
-// diverges from the live state.
-func (s *shard) ingestOne(rec record) {
-	if rec.kind == kindQuarantine {
-		s.quarantine(rec.q.entry)
+// groupCommit drains the data records already queued behind first —
+// without blocking, and at most a channel's worth — and commits them
+// together with it. The drain stops at the first marker or quarantine
+// record, which is returned (held) for the caller to handle after the
+// batch, so every barrier still sees all the records queued before it.
+func (s *shard) groupCommit(first record) (next record, held bool) {
+	batch := append(s.batch[:0], first)
+drain:
+	for len(batch) < cap(s.in) {
+		select {
+		case rec, ok := <-s.in:
+			if !ok {
+				break drain
+			}
+			if !rec.kind.isData() {
+				next, held = rec, true
+				break drain
+			}
+			batch = append(batch, rec)
+		default:
+			break drain
+		}
+	}
+	s.ingestBatch(batch)
+	clear(batch) // drop the payloads' strings until the next batch
+	s.batch = batch[:0]
+	return next, held
+}
+
+// ingestBatch persists recs with one commit — one write, one sync
+// decision — and then applies them in order. A record that cannot be
+// encoded is dead-lettered instead (it could never be recovered from
+// the WAL). A commit failure degrades the shard and parks the batch:
+// nothing in it is applied until its bytes are in the log.
+func (s *shard) ingestBatch(recs []record) {
+	first := s.log.NextSeq()
+	n := 0 // recs[:n] are the staged records, compacted in place
+	for i, rec := range recs {
+		var err error
+		s.frame, err = appendRecord(s.frame[:0], rec)
+		if err != nil {
+			s.quarantineRejected(rec, "encode", err.Error())
+			continue
+		}
+		if _, err := s.log.Stage(s.frame); err != nil {
+			s.degrade(err)
+			s.parked = append(s.parked, recs[:n]...)
+			s.parked = append(s.parked, recs[i:]...)
+			return
+		}
+		recs[n] = rec
+		n++
+	}
+	if err := s.log.Commit(); err != nil {
+		s.degrade(err)
+		s.parked = append(s.parked, recs[:n]...)
 		return
 	}
-	if s.log != nil {
-		payload, err := encodeRecord(rec)
-		if err != nil {
-			// A record that cannot be encoded is poison, not a disk
-			// problem: dead-letter it and move on without applying (it
-			// could never be recovered from the WAL).
-			s.quarantineRejected(rec, "encode", err.Error())
-			return
-		}
-		seq, err := s.log.Append(payload)
-		if err != nil {
-			s.degrade(err)
-			s.parked = append(s.parked, rec)
-			return
-		}
-		s.lastSeq = seq
+	s.lastSeq = first - 1
+	s.applyCommitted(recs[:n])
+}
+
+// applyCommitted applies records whose frames directly follow lastSeq
+// in the log. lastSeq advances record by record, so a checkpoint taken
+// partway through covers exactly what has been applied. Apply-time
+// order rejections are counted and dropped, NOT quarantined: under
+// at-least-once delivery a resumed producer legitimately re-sends
+// already-applied records, and dead-lettering every stale duplicate
+// would bury real poison records.
+func (s *shard) applyCommitted(recs []record) {
+	for _, rec := range recs {
+		s.lastSeq++
+		s.apply(rec)
+		s.maybeCheckpoint()
 	}
-	// Apply-time order rejections are counted and dropped, NOT
-	// quarantined: under at-least-once delivery a resumed producer
-	// legitimately re-sends already-applied records, and dead-lettering
-	// every stale duplicate would bury real poison records (and put an
-	// encode+append on the steady-state redelivery path).
-	s.apply(rec)
-	s.maybeCheckpoint()
 }
 
 // applyResult says whether apply accepted the record into the
@@ -867,9 +942,10 @@ func (s *shard) maybeCheckpoint() {
 		return
 	}
 	if err := s.checkpointNow(); err != nil {
-		// The record that triggered this was already appended and
+		// The record that triggered this was already committed and
 		// applied; only the checkpoint is missing. Degrade and retry
-		// after re-arm (sinceCkpt stays over threshold).
+		// after re-arm (sinceCkpt stays over threshold). The rest of a
+		// committed batch is still applied: its frames are in the log.
 		s.degrade(err)
 	}
 }

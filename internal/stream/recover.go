@@ -19,7 +19,8 @@ import (
 // deterministic — recovery replays payloads through shard.apply and
 // expects the exact records the original run saw.
 
-func encodeRecord(rec record) ([]byte, error) {
+// appendRecord appends rec's WAL payload to dst.
+func appendRecord(dst []byte, rec record) ([]byte, error) {
 	var (
 		body []byte
 		err  error
@@ -34,14 +35,13 @@ func encodeRecord(rec record) ([]byte, error) {
 	case kindUptime:
 		body, err = atlasdata.MarshalUptime(rec.uptime)
 	default:
-		return nil, fmt.Errorf("stream: record kind %d is not persistable", rec.kind)
+		return dst, fmt.Errorf("stream: record kind %d is not persistable", rec.kind)
 	}
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, byte(rec.kind))
-	return append(out, body...), nil
+	dst = append(dst, byte(rec.kind))
+	return append(dst, body...), nil
 }
 
 func decodeRecord(payload []byte) (record, error) {

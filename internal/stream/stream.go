@@ -47,7 +47,8 @@ type Config struct {
 	// construction.
 	Shards int
 	// Buffer is the per-shard channel capacity; a full shard blocks its
-	// producers (backpressure). Zero means 256.
+	// producers (backpressure). It also bounds a durable shard's group
+	// commit: one commit takes at most a full channel. Zero means 256.
 	Buffer int
 	// Pfx2AS maps addresses to origin ASes, month-matched, for per-AS
 	// aggregation. Nil disables AS attribution (everything maps to 0).

@@ -42,12 +42,12 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 	}
 }
 
-func (m *Metrics) appended(frameBytes int) {
+func (m *Metrics) appended(frames, bytes int) {
 	if m == nil {
 		return
 	}
-	m.appends.Inc()
-	m.bytes.Add(int64(frameBytes))
+	m.appends.Add(int64(frames))
+	m.bytes.Add(int64(bytes))
 }
 
 func (m *Metrics) fsynced(d time.Duration) {

@@ -39,15 +39,17 @@ import (
 	"dynaddr/internal/wire"
 )
 
-// SyncPolicy says when appended frames are fsynced to stable storage.
-// The zero value syncs on every append (safe by default).
+// SyncPolicy says when committed frames are fsynced to stable storage.
+// The zero value syncs at every commit (safe by default).
 type SyncPolicy int
 
-// Sync policies. Values greater than one mean "fsync every N appends";
-// Sync is also always called on rotation and Close.
+// Sync policies. Values greater than one mean "at a commit, fsync once
+// N or more frames are unsynced"; Sync is also always called on
+// rotation and Close.
 const (
-	// SyncAlways fsyncs after every append: a record acknowledged is a
-	// record on disk.
+	// SyncAlways fsyncs at every commit: a caller that applies a record
+	// only after its commit returns gets applied ⇒ on disk. One fsync
+	// covers every frame staged since the previous commit.
 	SyncAlways SyncPolicy = 1
 	// SyncNever leaves syncing to the OS (and to rotation/Close). A crash
 	// can lose everything since the last segment rotation.
@@ -55,7 +57,8 @@ const (
 )
 
 // ParseSyncPolicy parses a -fsync flag value: "always", "off" (or
-// "never"), or a positive integer N meaning "fsync every N appends".
+// "never"), or a positive integer N meaning "fsync at the first commit
+// that leaves N or more frames unsynced".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "always", "on", "1":
@@ -141,15 +144,23 @@ var ErrClosed = errors.New("wal: log closed")
 // Log is an open write-ahead log rooted at one directory. It is not
 // safe for concurrent use; in the stream tier each shard goroutine owns
 // its log exclusively.
+//
+// Writes are group commits: Stage frames a payload into an in-memory
+// buffer and Commit writes everything staged with one write call, then
+// applies the sync policy once. After an error from Stage, Commit, Sync
+// or rotation the log's file state is unknown (a write may have landed
+// partly); close it and reopen with Open, which repairs the tail.
 type Log struct {
 	dir string
 	opt Options
 
 	f        File   // active segment
 	segStart uint64 // sequence of the active segment's first frame
-	segSize  int64
-	nextSeq  uint64
-	unsynced int
+	segSize  int64  // bytes written to the active segment
+	nextSeq  uint64 // sequence the next Stage assigns
+	buf      []byte // staged frames, not yet written
+	staged   int    // frames in buf
+	unsynced int    // frames written but not yet fsynced
 	closed   bool
 }
 
@@ -268,7 +279,8 @@ func Open(dir string, opt Options) (*Log, error) {
 	}
 
 	l := &Log{dir: dir, opt: opt, nextSeq: start, segStart: start}
-	damaged := -1 // index into seqs of the first damaged segment
+	damaged := -1   // index into seqs of the first damaged segment
+	tailFrames := 0 // valid frames in the last segment scanned
 	for i, first := range seqs {
 		if first != l.nextSeq {
 			// A gap or overlap in sequence numbering: everything from here
@@ -282,6 +294,7 @@ func Open(dir string, opt Options) (*Log, error) {
 			return nil, err
 		}
 		l.nextSeq = first + uint64(frames)
+		tailFrames = frames
 		fi, err := opt.FS.Stat(path)
 		if err != nil {
 			return nil, err
@@ -316,7 +329,9 @@ func Open(dir string, opt Options) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		l.f, l.segSize = f, fi.Size()
+		// The tail may hold frames a failed commit wrote but never synced:
+		// count them unsynced so the next Sync makes them durable.
+		l.f, l.segSize, l.unsynced = f, fi.Size(), tailFrames
 	} else {
 		if err := l.openSegment(l.nextSeq); err != nil {
 			return nil, err
@@ -334,50 +349,86 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	return syncDir(l.opt.FS, l.dir)
 }
 
-// NextSeq returns the sequence the next Append will be assigned.
+// NextSeq returns the sequence the next Stage (or Append) will be
+// assigned.
 func (l *Log) NextSeq() uint64 { return l.nextSeq }
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append writes one frame and returns its sequence number. Depending on
-// the sync policy the frame may not be durable until the next Sync,
-// rotation or Close.
-func (l *Log) Append(payload []byte) (uint64, error) {
+// Stage frames one payload into the commit buffer and returns the
+// sequence it is assigned. Nothing reaches the file until Commit (or
+// Sync, rotation, Close). When the active segment is full, Stage first
+// writes what is staged and rotates, so a segment boundary always falls
+// between frames.
+func (l *Log) Stage(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if len(payload) == 0 || len(payload) > maxFrame {
 		return 0, fmt.Errorf("wal: payload size %d out of range", len(payload))
 	}
-	if l.segSize >= l.opt.SegmentBytes {
+	if l.segSize+int64(len(l.buf)) >= l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	var hdr [frameHeader]byte
-	wire.PutFrameHeader(hdr[:], payload)
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return 0, err
-	}
+	l.buf = wire.AppendFrame(l.buf, payload)
+	l.staged++
 	seq := l.nextSeq
 	l.nextSeq++
-	l.segSize += frameHeader + int64(len(payload))
-	l.unsynced++
-	l.opt.Metrics.appended(frameHeader + len(payload))
-	if every := int(l.opt.Sync); every > 0 && l.unsynced >= every {
-		if err := l.Sync(); err != nil {
-			return 0, err
-		}
-	}
 	return seq, nil
 }
 
+// Commit writes every staged frame with one write call and applies the
+// sync policy once: SyncAlways fsyncs, an interval N fsyncs once N or
+// more frames are unsynced, SyncNever leaves it to the OS.
+func (l *Log) Commit() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if err := l.flush(); err != nil {
+		return err
+	}
+	if every := int(l.opt.Sync); every > 0 && l.unsynced >= every {
+		return l.Sync()
+	}
+	return nil
+}
+
+// Append stages one payload and commits it: a group commit of one.
+func (l *Log) Append(payload []byte) (uint64, error) {
+	seq, err := l.Stage(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.Commit()
+}
+
+// flush writes the staged frames to the active segment in one call. On
+// failure the staged bytes are dropped and their sequences handed back,
+// so the next Stage reuses them, as if the failed frames were never
+// staged: the file may hold any prefix of them, which Open repairs to
+// whole frames.
+func (l *Log) flush() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	n, staged := len(l.buf), l.staged
+	_, err := l.f.Write(l.buf)
+	l.buf, l.staged = l.buf[:0], 0
+	if err != nil {
+		l.nextSeq -= uint64(staged)
+		return err
+	}
+	l.segSize += int64(n)
+	l.unsynced += staged
+	l.opt.Metrics.appended(staged, n)
+	return nil
+}
+
 // rotate closes the active segment (synced) and starts a new one whose
-// first sequence is the next append's.
+// first sequence is the next staged frame's.
 func (l *Log) rotate() error {
 	if err := l.Sync(); err != nil {
 		return err
@@ -389,10 +440,14 @@ func (l *Log) rotate() error {
 	return l.openSegment(l.nextSeq)
 }
 
-// Sync forces everything appended so far to stable storage.
+// Sync writes anything staged and forces everything written so far to
+// stable storage.
 func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.flush(); err != nil {
+		return err
 	}
 	if l.unsynced == 0 {
 		return nil
@@ -406,8 +461,8 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the active segment. The log is unusable
-// afterwards; Close is idempotent.
+// Close writes anything staged, syncs and closes the active segment.
+// The log is unusable afterwards; Close is idempotent.
 func (l *Log) Close() error {
 	if l.closed {
 		return nil

@@ -438,16 +438,21 @@ func flipByteInLastSegment(t *testing.T, dir string, offset int64) {
 }
 
 // BenchmarkWALAppend measures append throughput under the three fsync
-// policies the -fsync flag exposes (EXPERIMENTS.md records the spread).
+// policies the -fsync flag exposes, one commit per record, and under a
+// group commit of 128 records per commit at SyncAlways — what a durable
+// shard does when its queue holds a batch (EXPERIMENTS.md records the
+// spread).
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 256)
 	for _, tc := range []struct {
-		name string
-		sync SyncPolicy
+		name  string
+		sync  SyncPolicy
+		batch int
 	}{
-		{"fsync=always", SyncAlways},
-		{"fsync=64", SyncPolicy(64)},
-		{"fsync=off", SyncNever},
+		{"fsync=always", SyncAlways, 1},
+		{"fsync=64", SyncPolicy(64), 1},
+		{"fsync=off", SyncNever, 1},
+		{"batch=128", SyncAlways, 128},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
@@ -458,8 +463,13 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(payload); err != nil {
+				if _, err := l.Stage(payload); err != nil {
 					b.Fatal(err)
+				}
+				if (i+1)%tc.batch == 0 || i == b.N-1 {
+					if err := l.Commit(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()

@@ -10,8 +10,9 @@ import (
 // total carried verbatim. encoding/json renders float64 with the
 // shortest representation that parses back to the same bits, so a
 // marshal/unmarshal round trip reproduces the distribution exactly —
-// the property the ingest checkpoint format relies on for byte-
-// identical recovery.
+// the property the cluster's JSON peer views rely on for merges that
+// are byte-identical to a single process. (Shard checkpoints are
+// binary and store the same triple as IEEE-754 bits; see Restore.)
 type weightedJSON struct {
 	Values []float64 `json:"values,omitempty"`
 	Masses []float64 `json:"masses,omitempty"`
@@ -45,13 +46,13 @@ func (w *Weighted) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("stats: weighted distribution with %d values but %d masses",
 			len(dec.Values), len(dec.Masses))
 	}
-	w.mass = nil
-	w.total = dec.Total
+	var mass map[float64]float64
 	if len(dec.Values) > 0 {
-		w.mass = make(map[float64]float64, len(dec.Values))
+		mass = make(map[float64]float64, len(dec.Values))
 		for i, v := range dec.Values {
-			w.mass[v] = dec.Masses[i]
+			mass[v] = dec.Masses[i]
 		}
 	}
+	w.Restore(mass, dec.Total)
 	return nil
 }

@@ -71,6 +71,15 @@ func (w *Weighted) Clone() *Weighted {
 	return c
 }
 
+// Restore replaces w's contents with mass and total, both taken
+// verbatim: the total is not re-accumulated, so a distribution rebuilt
+// from its Values, MassOf and Total is bitwise equal to the original
+// however its weights were first ordered. w takes ownership of mass.
+func (w *Weighted) Restore(mass map[float64]float64, total float64) {
+	w.mass = mass
+	w.total = total
+}
+
 // Len returns the number of distinct values carrying mass.
 func (w *Weighted) Len() int { return len(w.mass) }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -220,8 +221,11 @@ func MergeAnalysisPeerViews(views []*AnalysisPeerView) (*liveanalysis.Result, Ve
 // machines, so the moved partition's contribution to every aggregate —
 // including its Version — is preserved bit for bit.
 type PartitionState struct {
-	Partition  int              `json:"partition"`
-	Checkpoint *shardCheckpoint `json:"checkpoint,omitempty"`
+	Partition int `json:"partition"`
+	// Checkpoint is the binary checkpoint document (JSON carries it
+	// base64-encoded): a durable partition's checkpoint file verbatim,
+	// or an in-memory partition's state encoded at release.
+	Checkpoint []byte `json:"checkpoint,omitempty"`
 	// Tail holds the WAL frame payloads past the checkpoint, in order
 	// (JSON carries them base64-encoded). The adopter re-appends them
 	// verbatim into a fresh log before applying, keeping the adopted
@@ -273,19 +277,25 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 
 	st := &PartitionState{Partition: p}
 	if s.dir == "" {
-		// In-memory: serialize the live state through the checkpoint codec
-		// (exact float round-trip) with no tail.
-		st.Checkpoint = s.buildCheckpoint()
+		// In-memory: encode the live state as a checkpoint document with
+		// no tail.
+		var buf bytes.Buffer
+		if _, err := s.encodeCheckpoint(&buf); err != nil {
+			return nil, fmt.Errorf("stream: release partition %d: %w", p, err)
+		}
+		st.Checkpoint = buf.Bytes()
 		return st, nil
 	}
-	ck, err := loadCheckpoint(s.dir)
+	// Durable: ship the checkpoint file as it is on disk. Only its header
+	// and checksum are checked; the adopter decodes it.
+	doc, h, err := readCheckpoint(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("stream: release partition %d: %w", p, err)
 	}
 	from := uint64(1)
-	if ck != nil {
-		st.Checkpoint = ck
-		from = ck.Seq + 1
+	if doc != nil {
+		st.Checkpoint = doc
+		from = h.seq + 1
 	}
 	tail, err := wal.Collect(s.dir, from)
 	if err != nil {
@@ -317,8 +327,15 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 		return fmt.Errorf("stream: adopt: nil partition state")
 	}
 	p := st.Partition
-	if st.Checkpoint != nil && st.Checkpoint.Version != checkpointVersion {
-		return fmt.Errorf("stream: adopt partition %d: checkpoint version %d, want %d", p, st.Checkpoint.Version, checkpointVersion)
+	var ck *checkpointState
+	if st.Checkpoint != nil {
+		var err error
+		if ck, err = decodeCheckpoint(st.Checkpoint, in.cfg.Analysis); err != nil {
+			return fmt.Errorf("stream: adopt partition %d: checkpoint: %w", p, err)
+		}
+		if ck.shard != p {
+			return fmt.Errorf("stream: adopt partition %d: checkpoint belongs to partition %d", p, ck.shard)
+		}
 	}
 
 	in.mu.Lock()
@@ -334,8 +351,8 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	}
 
 	s := in.newShard(p)
-	if st.Checkpoint != nil {
-		s.restoreCheckpoint(st.Checkpoint)
+	if ck != nil {
+		s.restore(ck)
 	}
 	if in.cfg.WALDir != "" {
 		s.dir = filepath.Join(in.cfg.WALDir, fmt.Sprintf("shard-%03d", p))
@@ -347,11 +364,11 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 			return err
 		}
 		from := uint64(1)
-		if st.Checkpoint != nil {
-			if err := writeCheckpoint(s.dir, st.Checkpoint); err != nil {
+		if ck != nil {
+			if err := writeCheckpointBytes(s.dir, st.Checkpoint); err != nil {
 				return fmt.Errorf("stream: adopt partition %d: %w", p, err)
 			}
-			from = st.Checkpoint.Seq + 1
+			from = ck.seq + 1
 		}
 		opt := wal.Options{
 			SegmentBytes: in.cfg.SegmentBytes,

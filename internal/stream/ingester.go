@@ -966,14 +966,15 @@ func (s *shard) checkpointNow() error {
 	// after re-arm; the orphaned increment merely retires a cache key
 	// early, which is always safe.
 	s.gen++
-	if err := writeCheckpoint(s.dir, s.buildCheckpoint()); err != nil {
+	n, err := writeCheckpointFile(s.dir, s.encodeCheckpoint)
+	if err != nil {
 		return err
 	}
 	s.sinceCkpt = 0
 	if err := s.log.TruncateBefore(s.lastSeq + 1); err != nil {
 		return err
 	}
-	s.metrics.checkpointed(time.Since(start))
+	s.metrics.checkpointed(time.Since(start), n)
 	return nil
 }
 

@@ -28,6 +28,7 @@ type shardMetrics struct {
 	rejected *obs.Counter
 	applySec *obs.Histogram
 	ckpts    *obs.Counter
+	ckptB    *obs.Counter
 	ckptSec  *obs.Histogram
 	replayed *obs.Counter
 	tick     uint64 // shard-goroutine-local sample counter
@@ -61,6 +62,8 @@ func newShardMetrics(reg *obs.Registry, index int) *shardMetrics {
 			"Per-record apply latency in seconds, sampled 1 in 64.", nil),
 		ckpts: reg.Counter("wal_checkpoints_total",
 			"Shard checkpoints written.", shard),
+		ckptB: reg.Counter("wal_checkpoint_bytes_total",
+			"Bytes of shard checkpoint documents written.", shard),
 		ckptSec: reg.Histogram("wal_checkpoint_seconds",
 			"Checkpoint duration in seconds (sync, serialize, truncate).", nil),
 		replayed: reg.Counter("wal_recovery_records_total",
@@ -113,9 +116,10 @@ func (m *shardMetrics) flush() {
 	}
 }
 
-func (m *shardMetrics) checkpointed(d time.Duration) {
+func (m *shardMetrics) checkpointed(d time.Duration, bytes int64) {
 	if m != nil {
 		m.ckpts.Inc()
+		m.ckptB.Add(bytes)
 		m.ckptSec.Observe(d.Seconds())
 	}
 }

@@ -1,6 +1,8 @@
 package stream_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -144,6 +146,17 @@ func TestDurableIngestMetrics(t *testing.T) {
 	}
 	if got := sumSeries(reg, "wal_checkpoints_total"); got == 0 {
 		t.Error("wal_checkpoints_total = 0, want > 0 with CheckpointEvery=4")
+	}
+	// The byte counter covers every checkpoint written, so at least the
+	// documents still on disk.
+	var onDisk int64
+	for _, shardDir := range []string{"shard-000", "shard-001"} {
+		if fi, err := os.Stat(filepath.Join(dir, shardDir, "checkpoint.bin")); err == nil {
+			onDisk += fi.Size()
+		}
+	}
+	if got := sumSeries(reg, "wal_checkpoint_bytes_total"); onDisk == 0 || got < float64(onDisk) {
+		t.Errorf("wal_checkpoint_bytes_total = %v, want at least the %d checkpoint bytes on disk", got, onDisk)
 	}
 
 	// Reopen on a fresh registry: the replay counter must equal the

@@ -211,15 +211,15 @@ func recoverShard(s *shard, cfg Config, st *RecoverStats) error {
 		return err
 	}
 
-	ck, err := loadCheckpoint(s.dir)
+	ck, err := loadCheckpoint(s.dir, s.index, s.churn != nil)
 	if err != nil {
 		return err
 	}
 	from := uint64(1)
 	if ck != nil {
-		s.restoreCheckpoint(ck)
-		from = ck.Seq + 1
-		st.CheckpointProbes += len(ck.Probes)
+		s.restore(ck)
+		from = ck.seq + 1
+		st.CheckpointProbes += len(ck.states)
 	}
 
 	opt := wal.Options{

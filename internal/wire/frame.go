@@ -51,6 +51,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC32C of a frame payload.
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
+// ChecksumUpdate extends a running CRC32C with p, so a document written
+// in pieces is checksummed without being held whole:
+// ChecksumUpdate(Checksum(a), b) == Checksum(a+b).
+func ChecksumUpdate(sum uint32, p []byte) uint32 { return crc32.Update(sum, castagnoli, p) }
+
 // Framing errors. FrameIter wraps them with the batch offset; use
 // errors.Is to classify.
 var (
